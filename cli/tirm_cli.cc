@@ -34,6 +34,7 @@
 #include "datasets/dataset.h"
 #include "graph/graph_stats.h"
 #include "obs/trace.h"
+#include "serve/protocol.h"
 
 namespace {
 
@@ -61,23 +62,17 @@ int Fail(const Status& status) {
 
 }  // namespace
 
-// Every flag this binary reads (AllocatorConfig's set plus the engine and
-// CLI knobs); anything else on the command line is a typo the user must
-// hear about, not a silently ignored key.
+// Every flag this binary reads: the CLI knobs plus the AllocatorConfig /
+// EngineQuery keys, taken from the server protocol's key sets so the CLI,
+// the server, and request "config"/"query" objects cannot drift apart.
+// Anything else on the command line is a typo the user must hear about,
+// not a silently ignored key.
 bool IsKnownFlag(const std::string& key) {
-  static const std::set<std::string> kKnown = {
-      // CLI
+  static const std::set<std::string> kCli = {
       "list", "allocator", "dataset", "bundle", "scale", "seed", "eval_sims",
-      "sweep_lambda", "reuse_samples", "trace_out", "print_profile",
-      // EngineQuery
-      "kappa", "lambda", "beta", "budget_scale",
-      // AllocatorConfig
-      "max_total_seeds", "min_drop", "eps", "ell", "theta_cap", "theta_min",
-      "kpt_max_samples", "threads", "weight_by_ctp",
-      "exact_selection_fallback", "ctp_aware_coverage", "coverage_kernel",
-      "sampler_kernel", "irie_alpha", "irie_rank_iterations",
-      "irie_ap_truncation", "irie_max_push_hops", "mc_sims"};
-  return kKnown.count(key) > 0;
+      "sweep_lambda", "reuse_samples", "trace_out", "print_profile"};
+  return kCli.count(key) > 0 || serve::RequestConfigKeys().count(key) > 0 ||
+         serve::RequestQueryKeys().count(key) > 0;
 }
 
 int main(int argc, char** argv) {

@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -458,9 +457,9 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
   std::vector<std::uint16_t> assigned(n, 0);
 
   // θ growth for one ad, unified over both planes: a single-store top-up,
-  // or a per-shard fan-out with one thread per client (distinct stores
-  // share no mutable state, so the round costs the slowest shard, not the
-  // sum — the per-shard `shard_ensure` spans expose the skew).
+  // or a per-shard executor fan-out with one task per client (distinct
+  // stores share no mutable state, so the round costs the slowest shard,
+  // not the sum — the per-shard `shard_ensure` spans expose the skew).
   auto ensure_sets = [&](AdId j, AdState& st, std::uint64_t min_sets,
                          std::uint64_t already_attached) {
     if (!sharded) {
@@ -485,15 +484,9 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
         statuses[k] = local.status();
       }
     };
-    if (num_shards > 1) {
-      std::vector<std::thread> workers;
-      workers.reserve(num_shards - 1);
-      for (std::size_t k = 1; k < num_shards; ++k) workers.emplace_back(fan, k);
-      fan(0);
-      for (std::thread& worker : workers) worker.join();
-    } else {
-      fan(0);
-    }
+    const int fan_width = static_cast<int>(num_shards);
+    ParallelFor(fan_width, fan_width,
+                [&](int k, int /*slot*/) { fan(static_cast<std::size_t>(k)); });
     bool any_sampled = false;
     for (std::size_t k = 0; k < num_shards; ++k) {
       TIRM_CHECK(statuses[k].ok()) << statuses[k].ToString();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "common/threading.h"
 #include "rrset/sample_store.h"
@@ -230,7 +229,7 @@ void FillRowsFromPostings(const RrSetPool& pool, std::uint64_t* words,
   }
 }
 
-// Below these sizes thread spawn/join overhead dominates; the serial
+// Below these sizes the fan-out overhead dominates; the serial
 // scatter loop additionally beats the gather on tiny deltas because it
 // never pays the per-node lower_bound.
 constexpr std::uint32_t kMinParallelSets = 2048;
@@ -242,7 +241,7 @@ CoverageTranspose::CoverageTranspose(NodeId num_nodes)
     : num_nodes_(num_nodes) {}
 
 void CoverageTranspose::ExtendFromPool(const RrSetPool& pool,
-                                       std::uint32_t up_to) {
+                                       std::uint32_t up_to, int num_threads) {
   TIRM_CHECK_LE(up_to, pool.NumSets());
   TIRM_CHECK_EQ(static_cast<std::uint64_t>(pool.num_nodes()),
                 static_cast<std::uint64_t>(num_nodes_));
@@ -270,25 +269,19 @@ void CoverageTranspose::ExtendFromPool(const RrSetPool& pool,
   const int threads =
       (up_to - built_sets_ >= kMinParallelSets &&
        num_nodes_ >= kMinParallelNodes)
-          ? ResolveThreadCount(0)
+          ? ResolveThreadCount(num_threads)
           : 1;
   if (threads > 1) {
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(threads) - 1);
     const NodeId per =
         (num_nodes_ + static_cast<NodeId>(threads) - 1) /
         static_cast<NodeId>(threads);
-    for (int w = 1; w < threads; ++w) {
-      const NodeId begin = std::min(num_nodes_, static_cast<NodeId>(w) * per);
+    ParallelFor(threads, threads, [&](int task, int /*slot*/) {
+      const NodeId begin =
+          std::min(num_nodes_, static_cast<NodeId>(task) * per);
       const NodeId end = std::min(num_nodes_, begin + per);
-      if (begin >= end) break;
-      workers.emplace_back(FillRowsFromPostings, std::cref(pool),
-                           words_.data(), stride_, built_sets_, up_to, begin,
-                           end);
-    }
-    FillRowsFromPostings(pool, words_.data(), stride_, built_sets_, up_to, 0,
-                         std::min(num_nodes_, per));
-    for (std::thread& t : workers) t.join();
+      FillRowsFromPostings(pool, words_.data(), stride_, built_sets_, up_to,
+                           begin, end);
+    });
   } else {
     for (std::uint32_t id = built_sets_; id < up_to; ++id) {
       const std::size_t word = id / kCoverageWordBits;

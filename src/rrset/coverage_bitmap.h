@@ -232,10 +232,13 @@ class CoverageTranspose {
 
   /// Adds membership bits for pool sets [built_sets(), up_to); no-op when
   /// already built that far. `up_to` must not exceed pool.NumSets().
-  /// Large extensions fill rows in parallel across worker threads (each
-  /// worker gathers a disjoint node range from the pool's postings, so
-  /// the bits are identical to the serial build for any thread count).
-  void ExtendFromPool(const RrSetPool& pool, std::uint32_t up_to);
+  /// Large extensions fill rows in parallel on the executor, over at most
+  /// `num_threads` slots (ResolveThreadCount semantics: <= 0 selects the
+  /// hardware concurrency). Each task gathers a disjoint node range from
+  /// the pool's postings, so the bits are identical to the serial build
+  /// for any thread count.
+  void ExtendFromPool(const RrSetPool& pool, std::uint32_t up_to,
+                      int num_threads);
 
   /// Membership words of node `v` (words_per_row() words; lanes beyond
   /// built_sets() are zero).

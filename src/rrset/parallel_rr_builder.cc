@@ -1,7 +1,6 @@
 #include "rrset/parallel_rr_builder.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "common/threading.h"
@@ -43,16 +42,17 @@ ParallelRrBuilder::ParallelRrBuilder(const Graph& graph,
   samplers_.resize(static_cast<std::size_t>(num_threads_));
 }
 
-RrSampler& ParallelRrBuilder::SamplerFor(int worker) {
-  auto& slot = samplers_[static_cast<std::size_t>(worker)];
-  if (slot == nullptr) {
-    slot = with_ctp_
-               ? std::make_unique<RrSampler>(graph_, edge_probs_, node_ctps_,
-                                             sampler_kernel_, rows_.get())
-               : std::make_unique<RrSampler>(graph_, edge_probs_,
-                                             sampler_kernel_, rows_.get());
+RrSampler& ParallelRrBuilder::SamplerFor(int slot) {
+  auto& sampler = samplers_[static_cast<std::size_t>(slot)];
+  if (sampler == nullptr) {
+    sampler = with_ctp_
+                  ? std::make_unique<RrSampler>(graph_, edge_probs_,
+                                                node_ctps_, sampler_kernel_,
+                                                rows_.get())
+                  : std::make_unique<RrSampler>(graph_, edge_probs_,
+                                                sampler_kernel_, rows_.get());
   }
-  return *slot;
+  return *sampler;
 }
 
 ParallelRrBuilder::Batch ParallelRrBuilder::SampleBatch(std::uint64_t count,
@@ -73,82 +73,99 @@ ParallelRrBuilder::Batch ParallelRrBuilder::SampleSetsOnly(std::uint64_t count,
 
 std::vector<ParallelRrBuilder::Batch> ParallelRrBuilder::SampleChunks(
     std::uint64_t count, Rng& master) {
-  return SampleParts(count, master, /*keep_sets=*/true, /*keep_stats=*/false);
+  return std::move(SampleParts(count, std::span<Rng>(&master, 1),
+                               /*keep_sets=*/true, /*keep_stats=*/false)
+                       .front());
 }
 
-std::vector<ParallelRrBuilder::Batch> ParallelRrBuilder::SampleParts(
-    std::uint64_t count, Rng& master, bool keep_sets, bool keep_stats) {
-  // Fork the per-worker streams sequentially on the calling thread; the
-  // result is a pure function of the master state, independent of scheduling.
+std::vector<std::vector<ParallelRrBuilder::Batch>>
+ParallelRrBuilder::SampleChunks(std::uint64_t count, std::span<Rng> masters) {
+  return SampleParts(count, masters, /*keep_sets=*/true, /*keep_stats=*/false);
+}
+
+namespace {
+
+// One worker part: `quota` sets from `rng`, into a task-local Batch that is
+// returned (moved) once — the hot loop writes nothing shared.
+ParallelRrBuilder::Batch SamplePart(RrSampler& sampler, Rng rng,
+                                    std::uint64_t quota, bool keep_sets,
+                                    bool keep_stats) {
+  // Samplers are reused across parts; drop any coins buffered from another
+  // part's stream so this part is a pure function of `rng`.
+  sampler.ResetStreamState();
+  ParallelRrBuilder::Batch part;
+  if (keep_sets) {
+    part.offsets.reserve(quota + 1);
+    part.offsets.push_back(0);
+  }
+  if (keep_stats) {
+    part.roots.reserve(quota);
+    part.widths.reserve(quota);
+  }
+  std::vector<NodeId> scratch;
+  for (std::uint64_t t = 0; t < quota; ++t) {
+    const NodeId root = sampler.SampleInto(rng, scratch);
+    part.max_traversal = std::max(part.max_traversal, sampler.last_traversal());
+    if (keep_sets) {
+      part.nodes.insert(part.nodes.end(), scratch.begin(), scratch.end());
+      part.offsets.push_back(part.nodes.size());
+    }
+    if (keep_stats) {
+      part.roots.push_back(root);
+      part.widths.push_back(sampler.last_width());
+    }
+  }
+  return part;
+}
+
+}  // namespace
+
+std::vector<std::vector<ParallelRrBuilder::Batch>>
+ParallelRrBuilder::SampleParts(std::uint64_t count, std::span<Rng> masters,
+                               bool keep_sets, bool keep_stats) {
   const int workers =
       count < min_parallel_batch_
           ? 1
           : static_cast<int>(
                 std::min<std::uint64_t>(count,
                                         static_cast<std::uint64_t>(num_threads_)));
-  std::vector<Rng> streams;
-  streams.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    streams.push_back(master.Fork(static_cast<std::uint64_t>(i)));
-  }
-
   const std::uint64_t base = workers == 0 ? 0 : count / workers;
   const std::uint64_t rem = workers == 0 ? 0 : count % workers;
-  std::vector<Batch> parts(static_cast<std::size_t>(workers));
 
-  auto run_worker = [&](int w) {
+  // Fork every part's stream sequentially on the calling thread, chunk by
+  // chunk; the result is a pure function of the master states, independent
+  // of scheduling. Task i is part i % workers of chunk i / workers.
+  std::vector<Rng> streams;
+  streams.reserve(masters.size() * static_cast<std::size_t>(workers));
+  for (Rng& master : masters) {
+    for (int w = 0; w < workers; ++w) {
+      streams.push_back(master.Fork(static_cast<std::uint64_t>(w)));
+    }
+  }
+  std::vector<std::vector<Batch>> parts(
+      masters.size(), std::vector<Batch>(static_cast<std::size_t>(workers)));
+  const int num_tasks = static_cast<int>(streams.size());
+  const int slots = std::min(num_tasks, num_threads_);
+  // SamplerFor mutates samplers_; materialize every slot's sampler before
+  // the fan-out so each task only touches the sampler of its own slot.
+  for (int slot = 0; slot < slots; ++slot) SamplerFor(slot);
+
+  ParallelFor(num_tasks, slots, [&](int task, int slot) {
+    const int w = task % workers;
     const std::uint64_t quota =
         base + (static_cast<std::uint64_t>(w) < rem ? 1 : 0);
-    // Per-worker sampling batch: spans land in the worker thread's own
+    // Per-part sampling batch: spans land in the running thread's own
     // buffer, so the fan-out shows up as parallel lanes in the trace.
     obs::TraceSpan span("rr_sample_batch");
     span.Counter("worker", w);
     span.Counter("quota", static_cast<double>(quota));
-    RrSampler& sampler = SamplerFor(w);
-    // Samplers are reused across batches; drop any coins buffered from a
-    // previous batch's stream so this part is a pure function of `rng`.
-    sampler.ResetStreamState();
-    Rng& rng = streams[static_cast<std::size_t>(w)];
-    Batch& part = parts[static_cast<std::size_t>(w)];
-    if (keep_sets) {
-      part.offsets.reserve(quota + 1);
-      part.offsets.push_back(0);
-    }
-    if (keep_stats) {
-      part.roots.reserve(quota);
-      part.widths.reserve(quota);
-    }
-    std::vector<NodeId> scratch;
-    for (std::uint64_t t = 0; t < quota; ++t) {
-      const NodeId root = sampler.SampleInto(rng, scratch);
-      part.max_traversal = std::max(part.max_traversal,
-                                    sampler.last_traversal());
-      if (keep_sets) {
-        part.nodes.insert(part.nodes.end(), scratch.begin(), scratch.end());
-        part.offsets.push_back(part.nodes.size());
-      }
-      if (keep_stats) {
-        part.roots.push_back(root);
-        part.widths.push_back(sampler.last_width());
-      }
-    }
+    Batch part = SamplePart(*samplers_[static_cast<std::size_t>(slot)],
+                            streams[static_cast<std::size_t>(task)], quota,
+                            keep_sets, keep_stats);
     span.Counter("max_traversal", static_cast<double>(part.max_traversal));
-  };
-
-  if (workers <= 1) {
-    if (workers == 1) run_worker(0);
-  } else {
-    // SamplerFor mutates samplers_; materialize every worker's sampler
-    // before the threads start so the workers only touch their own slot.
-    for (int w = 0; w < workers; ++w) SamplerFor(w);
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(workers) - 1);
-    for (int w = 1; w < workers; ++w) {
-      threads.emplace_back(run_worker, w);
-    }
-    run_worker(0);
-    for (auto& t : threads) t.join();
-  }
+    parts[static_cast<std::size_t>(task / workers)]
+         [static_cast<std::size_t>(w)] = std::move(part);
+  });
   return parts;
 }
 
@@ -157,7 +174,9 @@ ParallelRrBuilder::Batch ParallelRrBuilder::SampleImpl(std::uint64_t count,
                                                        bool keep_sets,
                                                        bool keep_stats) {
   const std::vector<Batch> parts =
-      SampleParts(count, master, keep_sets, keep_stats);
+      std::move(SampleParts(count, std::span<Rng>(&master, 1), keep_sets,
+                            keep_stats)
+                    .front());
   // Concatenate in worker order — deterministic regardless of scheduling.
   Batch out;
   for (const Batch& p : parts) {

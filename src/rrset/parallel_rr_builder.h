@@ -1,16 +1,22 @@
 // Parallel RR/RRC-set generation (the dominant cost of TIM/TIRM, §5).
 //
 // RrSampler is deliberately "not thread-safe; create one per thread" — this
-// builder does exactly that: it owns one RrSampler per worker slot and fans a
-// requested batch of `count` sets out across N threads. Determinism is
+// builder owns one RrSampler per executor slot (common/threading.h) and fans
+// a requested batch of `count` sets out across N slots. Determinism is
 // preserved for a fixed (master RNG state, count, thread count, kernel):
 //
-//  * the master Rng forks one child stream per worker, sequentially, on the
-//    calling thread (Rng::Fork is deterministic in state and salt);
-//  * worker i samples a fixed contiguous chunk of the batch with its own
-//    sampler and its own stream, writing into worker-local storage;
-//  * chunks are concatenated (or adopted) in worker order, so the result is
+//  * the master Rng forks one child stream per worker part, sequentially,
+//    on the calling thread (Rng::Fork is deterministic in state and salt);
+//  * part w samples a fixed contiguous share of the batch from its own
+//    stream into a task-local buffer, with whichever slot's sampler runs it
+//    (a sampler's output is a pure function of the stream it is handed);
+//  * parts are concatenated (or adopted) in worker order, so the result is
 //    byte-identical no matter how the OS schedules the threads.
+//
+// Each part keeps its Rng and its Batch on the running thread for the
+// whole part and moves the finished Batch into the shared result once, at
+// the end: nothing a worker writes per coin or per set shares a cache line
+// with another worker.
 //
 // The produced Batch carries the flattened sets, their roots, and the TIM
 // widths w(R) (sum of in-degrees over the traversal), so both KPT estimation
@@ -21,7 +27,9 @@
 // *before* the concatenation copy, still in deterministic worker order.
 // RrSetPool::AdoptChunk moves each part's flattened node buffer into the
 // pool arena wholesale, which removes both copies of the legacy path
-// (worker part -> merged Batch -> pool arena). SampleSetsInto streams
+// (worker part -> merged Batch -> pool arena). The multi-master
+// SampleChunks overload samples several independent chunks in one executor
+// fan-out (one RrSampleStore top-up = one fan-out). SampleSetsInto streams
 // per-set spans over the same parts for sinks that genuinely need per-set
 // granularity.
 //
@@ -45,16 +53,16 @@
 
 namespace tirm {
 
-/// Fans RR/RRC-set sampling out over worker threads; deterministic in
+/// Fans RR/RRC-set sampling out over the executor; deterministic in
 /// (master seed, batch size, thread count, sampler kernel). Reusable across
 /// batches; not itself thread-safe (one builder per orchestrating thread).
 class ParallelRrBuilder {
  public:
   struct Options {
-    /// Worker threads; <= 0 selects std::thread::hardware_concurrency().
+    /// Worker threads; <= 0 selects the hardware concurrency.
     int num_threads = 1;
-    /// Batches smaller than this run inline on the calling thread — thread
-    /// spawn overhead dwarfs the sampling work below it.
+    /// Batches smaller than this are sampled as a single part — the fan-out
+    /// overhead dwarfs the sampling work below it.
     std::uint64_t min_parallel_batch = 256;
     /// Reverse-BFS inner-loop kernel (kAuto resolves to kClassic — see
     /// rrset/sampler_kernel.h for the determinism contract).
@@ -117,6 +125,13 @@ class ParallelRrBuilder {
   /// `nodes` buffer straight into RrSetPool::AdoptChunk.
   std::vector<Batch> SampleChunks(std::uint64_t count, Rng& master);
 
+  /// SampleChunks for several independent chunks of `count` sets in one
+  /// executor fan-out over every (chunk, worker) part: result[c] is exactly
+  /// SampleChunks(count, masters[c]), and masters[c] advances as that call
+  /// would advance it.
+  std::vector<std::vector<Batch>> SampleChunks(std::uint64_t count,
+                                               std::span<Rng> masters);
+
   /// Streaming variant of SampleChunks: invokes `sink(std::span<const
   /// NodeId>)` once per set, in the same deterministic worker order,
   /// straight from the worker-local buffers. Statically dispatched — the
@@ -143,10 +158,12 @@ class ParallelRrBuilder {
   const Graph& graph() const { return graph_; }
 
  private:
-  RrSampler& SamplerFor(int worker);
-  /// Worker-local chunks in worker order (the deterministic pre-merge form).
-  std::vector<Batch> SampleParts(std::uint64_t count, Rng& master,
-                                 bool keep_sets, bool keep_stats);
+  RrSampler& SamplerFor(int slot);
+  /// Worker-local parts of each master's chunk, in worker order (the
+  /// deterministic pre-merge form).
+  std::vector<std::vector<Batch>> SampleParts(std::uint64_t count,
+                                              std::span<Rng> masters,
+                                              bool keep_sets, bool keep_stats);
   Batch SampleImpl(std::uint64_t count, Rng& master, bool keep_sets,
                    bool keep_stats);
 
@@ -160,8 +177,9 @@ class ParallelRrBuilder {
   /// Row classification shared read-only by every worker's sampler
   /// (immutable after construction); only built for the skip kernel.
   std::unique_ptr<SamplerRowClass> rows_;
-  // Lazily created so a builder configured for N threads but only ever used
-  // for tiny inline batches allocates a single sampler.
+  // One sampler per executor slot, lazily created so a builder configured
+  // for N threads but only ever used for tiny inline batches allocates a
+  // single sampler.
   std::vector<std::unique_ptr<RrSampler>> samplers_;
 };
 

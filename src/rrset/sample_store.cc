@@ -51,8 +51,10 @@ constexpr std::size_t kMinChunkNodes = std::size_t{1} << 12;
 constexpr std::size_t kMaxChunkNodes = std::size_t{1} << 22;
 }  // namespace
 
-RrSetPool::RrSetPool(NodeId num_nodes)
-    : num_nodes_(num_nodes), next_chunk_nodes_(kMinChunkNodes) {
+RrSetPool::RrSetPool(NodeId num_nodes, int num_threads)
+    : num_nodes_(num_nodes),
+      num_threads_(num_threads),
+      next_chunk_nodes_(kMinChunkNodes) {
   set_offsets_.push_back(0);
   index_.resize(num_nodes);
 }
@@ -104,8 +106,8 @@ std::uint32_t RrSetPool::AdoptChunk(std::vector<NodeId>&& nodes,
   chunks_.push_back(std::move(nodes));
   const std::vector<NodeId>& chunk = chunks_.back();
   const std::size_t base = set_offsets_.back();
-  set_begin_.reserve(set_begin_.size() + num_sets);
-  set_offsets_.reserve(set_offsets_.size() + num_sets);
+  // No exact-size reserve here: it would defeat push_back's geometric
+  // growth and copy both arrays on every adoption (quadratic in θ).
   for (std::size_t k = 0; k < num_sets; ++k) {
     set_begin_.push_back(chunk.data() + offsets[k]);
     set_offsets_.push_back(base + offsets[k + 1]);
@@ -131,7 +133,7 @@ const CoverageTranspose& RrSetPool::EnsureTranspose(std::uint32_t up_to) const {
   if (transpose_ == nullptr) {
     transpose_ = std::make_unique<CoverageTranspose>(num_nodes_);
   }
-  transpose_->ExtendFromPool(*this, up_to);
+  transpose_->ExtendFromPool(*this, up_to, num_threads_);
   return *transpose_;
 }
 
@@ -159,7 +161,7 @@ std::size_t RrSetPool::MemoryBytes() const {
 RrSampleStore::AdPool::AdPool(const Graph& graph, std::uint64_t base_seed,
                               std::span<const float> edge_probs,
                               int num_threads, SamplerKernel sampler_kernel)
-    : pool_(graph.num_nodes()),
+    : pool_(graph.num_nodes(), num_threads),
       base_seed_(base_seed),
       edge_probs_(edge_probs),
       builder_(std::make_unique<ParallelRrBuilder>(
@@ -258,26 +260,33 @@ RrSampleStore::EnsureResult RrSampleStore::EnsureSets(
           : 0;
   span.Counter("chunks",
                static_cast<double>(target_chunks - entry->chunks_sampled_));
+  // One independent substream per GLOBAL chunk index: chunk contents are a
+  // pure function of (seed, signature, chunk_sets, thread count, kernel) —
+  // never of how θ growth was split across EnsureSets calls, and never of
+  // the shard layout, so every K partitions the same global pool and K=1
+  // reproduces it whole.
+  std::vector<Rng> masters;
+  masters.reserve(target_chunks - entry->chunks_sampled_);
   for (std::uint64_t t = entry->chunks_sampled_; t < target_chunks; ++t) {
-    // One independent substream per GLOBAL chunk index: chunk contents are
-    // a pure function of (seed, signature, chunk_sets, thread count,
-    // kernel) — never of how θ growth was split across EnsureSets calls,
-    // and never of the shard layout, so every K partitions the same
-    // global pool and K=1 reproduces it whole.
     const std::uint64_t c = t * k64 + static_cast<std::uint64_t>(shard);
-    Rng master(MixHash(entry->base_seed_, 0x2000 + c));
-    // Arena-direct top-up: adopt each worker's flattened buffer wholesale,
-    // in deterministic worker order (see the file comment) — set ids and
-    // contents match the legacy per-set AddSet loop bit for bit, without
-    // the merge-and-copy passes.
-    std::vector<ParallelRrBuilder::Batch> parts =
-        entry->builder_->SampleChunks(chunk, master);
+    masters.emplace_back(MixHash(entry->base_seed_, 0x2000 + c));
+  }
+  // Every (chunk, worker) part of the top-up in one executor fan-out, then
+  // arena-direct adoption of each part's flattened buffer wholesale in
+  // chunk-then-worker order (see the file comment) — set ids and contents
+  // match the legacy per-set AddSet loop bit for bit, without the
+  // merge-and-copy passes.
+  std::vector<std::vector<ParallelRrBuilder::Batch>> chunks =
+      entry->builder_->SampleChunks(chunk, masters);
+  for (std::vector<ParallelRrBuilder::Batch>& parts : chunks) {
     std::uint64_t emitted = 0;
     for (ParallelRrBuilder::Batch& part : parts) {
       emitted += part.size();
       result.max_traversal = std::max(result.max_traversal,
                                       part.max_traversal);
       entry->pool_.AdoptChunk(std::move(part.nodes), part.offsets);
+      // Release the part's bookkeeping as soon as it is adopted.
+      part = ParallelRrBuilder::Batch();
     }
     TIRM_CHECK_EQ(emitted, chunk);
   }

@@ -26,11 +26,12 @@
 // (member spans are stable — the arena is chunked, never relocated — but
 // the per-set bookkeeping and the inverted index still grow).
 //
-// Arena-direct top-up. EnsureSets consumes ParallelRrBuilder::SampleChunks:
-// each worker's flattened node buffer is *adopted* by the pool wholesale
-// (RrSetPool::AdoptChunk — a move, no per-set copy), in deterministic
-// worker order, with the inverted index built batched over the adopted
-// chunk. Set ids, member order, and postings are byte-identical to the
+// Arena-direct top-up. EnsureSets samples every (chunk, worker) part of a
+// top-up in one executor fan-out (the multi-master
+// ParallelRrBuilder::SampleChunks), then each part's flattened node buffer
+// is *adopted* by the pool wholesale (RrSetPool::AdoptChunk — a move, no
+// per-set copy), in deterministic chunk-then-worker order, with the
+// inverted index built batched over the adopted part. Set ids, member order, and postings are byte-identical to the
 // legacy per-set append path (AddSet), which remains for single-set
 // producers like RunTim.
 //
@@ -89,7 +90,10 @@ std::uint64_t ShardLocalToGlobalSetId(std::uint64_t local_id,
 /// use (EnsureTranspose) so scalar-only consumers never pay for it.
 class RrSetPool {
  public:
-  explicit RrSetPool(NodeId num_nodes);
+  /// `num_threads` bounds the fan-out of the lazily built transpose
+  /// (ResolveThreadCount semantics: <= 0 selects the hardware
+  /// concurrency); a store's pools use the store's thread count.
+  explicit RrSetPool(NodeId num_nodes, int num_threads = 0);
   ~RrSetPool();
 
   /// Appends one set; returns its id (ids are dense, in append order).
@@ -138,6 +142,7 @@ class RrSetPool {
 
  private:
   NodeId num_nodes_;
+  int num_threads_;
   // The arena members below are deliberately NOT capability-guarded: a
   // pool is mutated only through its owning AdPool (whose entry mutex
   // serializes top-ups) and read by coverage views under the documented

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <vector>
@@ -162,6 +163,66 @@ TEST(ParallelRrBuilderTest, RrcModeAppliesCtpCoins) {
   const Batch batch = builder.SampleBatch(200, rng);
   EXPECT_EQ(batch.size(), 200u);
   EXPECT_TRUE(batch.nodes.empty());  // delta = 0 blocks every membership coin
+}
+
+// ------------------------------------------------------- pinned goldens
+// Digests recorded from the spawn-per-call builder. The determinism
+// contract is per (seed, thread count), so these pin the sampling streams
+// themselves rather than comparing one path with another: any change to
+// stream forking, chunk quotas, or part order fails here.
+
+struct ThreadGolden {
+  int threads;
+  std::uint64_t chunks;  // SampleChunks parts, in part order
+  std::uint64_t widths;  // SampleWidths (the KPT path)
+};
+
+TEST(ParallelRrGoldenTest, SampleChunksAndWidthsMatchPinnedDigests) {
+  TestInstance s = MakeRMatInstance(1, 1.0);
+  const std::vector<float> probs = s.probs->MixForAd(s.ads[0].gamma);
+  const ThreadGolden goldens[] = {
+      {1, 0x030689e8bc2c932dULL, 0x8462189e4cc92052ULL},
+      {2, 0xcf80e0acdce044c4ULL, 0xb4f6d7a3b0c0d624ULL},
+      {4, 0x8abd8f802725aaadULL, 0x707a9c4c69a44d36ULL},
+  };
+  for (const ThreadGolden& golden : goldens) {
+    ParallelRrBuilder builder(s.graph, probs, {.num_threads = golden.threads});
+    GoldenDigest chunks;
+    Rng master(2015);
+    for (const std::uint64_t count : {4096u, 3000u, 100u}) {
+      const std::vector<Batch> parts = builder.SampleChunks(count, master);
+      for (const Batch& part : parts) {
+        chunks.Add(part.offsets);
+        chunks.Add(part.nodes);
+      }
+    }
+    GoldenDigest widths;
+    Rng kpt_master(7);
+    widths.Add(builder.SampleWidths(5000, kpt_master));
+    EXPECT_EQ(chunks.h, golden.chunks)
+        << "threads=" << golden.threads << " chunks=0x" << std::hex
+        << chunks.h;
+    EXPECT_EQ(widths.h, golden.widths)
+        << "threads=" << golden.threads << " widths=0x" << std::hex
+        << widths.h;
+  }
+}
+
+TEST(ParallelRrGoldenTest, TirmAllocationMatchesPinnedDigest) {
+  TestInstance s = MakeRMatInstance(2, 30.0);
+  ProblemInstance inst = s.Make(1, 0.0);
+  const std::pair<int, std::uint64_t> goldens[] = {
+      {1, 0x350849938b4d3f21ULL},
+      {2, 0x593840a4d9f7ca5aULL},
+      {4, 0xed5b180bb3951699ULL}};
+  for (const auto& [threads, golden] : goldens) {
+    Rng rng(42);
+    const TirmResult result = RunTirm(inst, FastOptions(threads), rng);
+    ASSERT_GT(result.allocation.TotalSeeds(), 0u);
+    const std::uint64_t digest = AllocationDigest(result.allocation);
+    EXPECT_EQ(digest, golden)
+        << "threads=" << threads << " allocation=0x" << std::hex << digest;
+  }
 }
 
 // ----------------------------------------------------- TIRM end-to-end

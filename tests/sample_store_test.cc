@@ -23,6 +23,7 @@
 #include "rrset/rr_collection.h"
 #include "rrset/sample_store.h"
 #include "rrset/weighted_rr_collection.h"
+#include "tirm_test_util.h"
 #include "topic/instance.h"
 
 namespace tirm {
@@ -232,6 +233,35 @@ TEST_F(SampleStoreTest, ConcurrentEnsureSetsIsSafeAndDeterministic) {
   reference.EnsureSets(ref, 64 * 8);
   EXPECT_EQ(Materialize(shared->sets(), shared->sets().NumSets()),
             Materialize(ref->sets(), ref->sets().NumSets()));
+}
+
+// Pinned digests of a multi-chunk top-up (set contents and postings),
+// recorded from the per-chunk spawn-per-call top-up: a change to the
+// chunk substreams, the per-chunk worker split, or the adoption order
+// fails here even when every path-vs-path golden still agrees.
+TEST(SampleStoreGoldenTest, MultiChunkTopUpMatchesPinnedDigests) {
+  TestInstance s = MakeRMatInstance(1, 1.0);
+  const std::vector<float> probs = s.probs->MixForAd(s.ads[0].gamma);
+  const std::pair<int, std::uint64_t> goldens[] = {
+      {1, 0x61d070d2cb4a0a21ULL},
+      {2, 0x6d561a2ddc74abe4ULL},
+      {4, 0xa1f00720c7a75a24ULL}};
+  for (const auto& [threads, golden] : goldens) {
+    RrSampleStore store(&s.graph, {.seed = 31, .num_threads = threads,
+                                   .chunk_sets = 1024});
+    RrSampleStore::AdPool* entry = store.Acquire(5, probs);
+    store.EnsureSets(entry, 1500);
+    store.EnsureSets(entry, 5000);  // a second, multi-chunk top-up
+    const RrSetPool& pool = entry->sets();
+    ASSERT_EQ(pool.NumSets(), 5120u);
+    GoldenDigest d;
+    for (std::uint32_t id = 0; id < pool.NumSets(); ++id) {
+      d.Add(pool.SetMembers(id));
+    }
+    for (NodeId v = 0; v < pool.num_nodes(); ++v) d.Add(pool.Postings(v));
+    EXPECT_EQ(d.h, golden)
+        << "threads=" << threads << " pool=0x" << std::hex << d.h;
+  }
 }
 
 // --------------------------------------------- golden: pooled == fresh

@@ -11,10 +11,13 @@
 #ifndef TIRM_TESTS_TIRM_TEST_UTIL_H_
 #define TIRM_TESTS_TIRM_TEST_UTIL_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "alloc/tirm.h"
+#include "common/hashing.h"
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "topic/instance.h"
@@ -63,6 +66,30 @@ inline TirmOptions FastOptions(int threads) {
   o.kpt_max_samples = 1 << 14;
   o.num_threads = threads;
   return o;
+}
+
+/// FNV-1a digest accumulator for pinned golden outputs: a change to any
+/// sampling stream, set member, or posting changes the digest.
+struct GoldenDigest {
+  std::uint64_t h = kFnvOffsetBasis;
+
+  template <typename T>
+  void Add(std::span<const T> values) {
+    const auto size = static_cast<std::uint64_t>(values.size());
+    h = HashBytes(h, &size, sizeof(size));
+    h = HashBytes(h, values.data(), values.size() * sizeof(T));
+  }
+  template <typename T>
+  void Add(const std::vector<T>& values) {
+    Add(std::span<const T>(values));
+  }
+};
+
+/// Digest of an allocation's per-ad seed lists, in seed order.
+inline std::uint64_t AllocationDigest(const Allocation& allocation) {
+  GoldenDigest d;
+  for (const auto& seeds : allocation.seeds) d.Add(seeds);
+  return d.h;
 }
 
 }  // namespace tirm

@@ -17,6 +17,12 @@ annotation macros expand to nothing):
      `// unguarded: <why>` justification on the declaration or the line
      above it. A mutex nothing is declared to guard is either dead weight
      or a hole in the contract; either way it needs a reason in writing.
+  3. Library code (src/) starts threads only in src/common/threading.*
+     (the process-wide executor behind ParallelFor) and
+     src/serve/allocation_service.* (long-lived request workers).
+     std::thread, std::jthread and std::async anywhere else in src/ are
+     findings, so there is one way to run work in parallel. Tests, CLIs
+     and benches may still start their own threads.
 
 Exit status 0 when clean; 1 with one "file:line: message" per finding
 otherwise. Run from anywhere: paths resolve relative to the repo root
@@ -44,6 +50,19 @@ RAW_PRIMITIVE_RE = re.compile(
     r"|lock_guard|unique_lock|scoped_lock|shared_lock"
     r"|condition_variable(?:_any)?)\b"
 )
+# The only library files that may start threads (rule 3).
+THREAD_SCOPE = pathlib.PurePosixPath("src")
+THREAD_ALLOWLIST = {
+    pathlib.PurePosixPath(p)
+    for p in (
+        "src/common/threading.h",
+        "src/common/threading.cc",
+        "src/serve/allocation_service.h",
+        "src/serve/allocation_service.cc",
+    )
+}
+THREAD_RE = re.compile(r"std::(?:thread|jthread|async)\b")
+
 # Bare lock-protocol calls on anything (mutexes, locks, atomics misused as
 # locks). RAII types issue these internally; user code never should.
 RAW_LOCK_CALL_RE = re.compile(r"\.\s*(?:lock|unlock|try_lock)\s*\(")
@@ -75,6 +94,9 @@ def lint_file(root: pathlib.Path, rel: pathlib.PurePosixPath) -> list[str]:
     findings: list[str] = []
 
     allow_raw = rel in RAW_PRIMITIVE_ALLOWLIST
+    check_threads = (
+        THREAD_SCOPE in rel.parents and rel not in THREAD_ALLOWLIST
+    )
     guarded_targets = set()
     for line in lines:
         for m in GUARDED_BY_RE.finditer(line):
@@ -97,6 +119,12 @@ def lint_file(root: pathlib.Path, rel: pathlib.PurePosixPath) -> list[str]:
                     f"{rel}:{i}: bare .lock()/.unlock()/.try_lock() call; "
                     "acquire through RAII (tirm::MutexLock)"
                 )
+
+        if check_threads and THREAD_RE.search(line):
+            findings.append(
+                f"{rel}:{i}: thread started outside the executor; use "
+                "ParallelFor (common/threading.h)"
+            )
 
         member = MUTEX_MEMBER_RE.match(line)
         if member:
